@@ -41,6 +41,14 @@ reach the expensive counting machinery:
    :func:`_prefix_count`, a radix-8 Fenwick-style offline prefix counter
    that is O(log m) per query regardless of window length.
 
+Stages 1-6 end in a program-order miss mask, :func:`lru_miss_mask`.  It
+is the one LRU classifier of the tree: PolyUFC-CM's write-through level
+(:func:`model_level`) and the write-back hardware simulator
+(:mod:`repro.cache.simulator`) both build on it and differ only in the
+next-level stream they derive from the mask.  The mask fires the
+``cm.chunk`` fault site and checks a deadline only when its caller
+passes them, so the simulator adds no checkpoint to the CM's.
+
 The write-through next-level stream (miss fetch, then the forwarded write
 for stores, in program order) is materialized with a cumulative-sum
 scatter, so the whole hierarchy is evaluated without Python-level
@@ -178,6 +186,13 @@ def _prev_occurrence(kept_lines: np.ndarray) -> np.ndarray:
 _ROUNDS_PER_CHECK = 8
 
 
+def _checkpoint(deadline: Optional[Deadline], site: Optional[str]) -> None:
+    """Fire ``site``'s armed fault and check ``deadline``, when given."""
+    if site is not None:
+        faults.fire(site)
+    _check_deadline(deadline, site or "")
+
+
 def _count_hard_queries(
     prev_pos: np.ndarray,
     hard_idx: np.ndarray,
@@ -185,6 +200,7 @@ def _count_hard_queries(
     hard_p: np.ndarray,
     assoc: int,
     deadline: Optional[Deadline] = None,
+    site: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """First-in-window counts for the hard queries (stage 6a).
 
@@ -228,12 +244,14 @@ def _count_hard_queries(
     # masked row gather; otherwise count gp's partial chunk and i's
     # partial chunk, leaving full chunks [first_chunk, last_chunk) to the
     # rounds loop.
+    # Lane masks compare in-chunk offsets (position & 31) rather than
+    # materializing (Q, 32) int64 positions: same test, an eighth of the
+    # memory.
     shared = np.flatnonzero(same_chunk)
     if shared.size:
         rows = work2d[hard_gp[shared] >> 5]
-        gpos = ((hard_gp[shared] >> 5) << 5)[:, None] + lane[None, :]
-        valid = (gpos > hard_gp[shared, None]) & (
-            gpos < hard_idx[shared, None]
+        valid = (lane[None, :] > (hard_gp[shared] & 31)[:, None]) & (
+            lane[None, :] < (hard_idx[shared] & 31)[:, None]
         )
         counts[shared] = np.sum(
             (rows <= hp[shared, None]) & valid, axis=1, dtype=np.int64
@@ -241,14 +259,12 @@ def _count_hard_queries(
     split = np.flatnonzero(~same_chunk)
     if split.size:
         rows = work2d[hard_gp[split] >> 5]
-        gpos = ((hard_gp[split] >> 5) << 5)[:, None] + lane[None, :]
-        valid = gpos > hard_gp[split, None]
+        valid = lane[None, :] > (hard_gp[split] & 31)[:, None]
         counts[split] = np.sum(
             (rows <= hp[split, None]) & valid, axis=1, dtype=np.int64
         )
         rows = work2d[last_chunk[split]]
-        gpos = (last_chunk[split] << 5)[:, None] + lane[None, :]
-        valid = gpos < hard_idx[split, None]
+        valid = lane[None, :] < (hard_idx[split] & 31)[:, None]
         counts[split] += np.sum(
             (rows <= hp[split, None]) & valid, axis=1, dtype=np.int64
         )
@@ -261,8 +277,7 @@ def _count_hard_queries(
         if not active.size:
             break
         if round_index % _ROUNDS_PER_CHECK == 0:
-            faults.fire("cm.chunk")
-            _check_deadline(deadline, "cm.chunk")
+            _checkpoint(deadline, site)
         counts[active] += np.sum(
             work2d[cursor[active]] <= hp[active, None],
             axis=1,
@@ -281,6 +296,7 @@ def _prefix_count(
     gi: np.ndarray,
     wq: np.ndarray,
     deadline: Optional[Deadline] = None,
+    site: Optional[str] = None,
 ) -> np.ndarray:
     """``#{ j < gi[q] : w[j] <= wq[q] }`` for every query ``q`` (stage 6b).
 
@@ -308,7 +324,7 @@ def _prefix_count(
     max_chunks = int(chunks.max())
     k = 0
     while (max_chunks >> (3 * k)) > 0:
-        _check_deadline(deadline, "cm.chunk")
+        _check_deadline(deadline, site or "")
         level_units = chunks >> (3 * k)
         digit = level_units & 7
         seg_len = _CHUNK << (3 * k)
@@ -338,26 +354,28 @@ def _prefix_count(
     return counts
 
 
-def model_level(
+def lru_miss_mask(
     lines: np.ndarray,
-    writes: np.ndarray,
     config: CacheLevelConfig,
     deadline: Optional[Deadline] = None,
-) -> Tuple[int, int, np.ndarray, np.ndarray]:
-    """One write-through level, vectorized.
+    site: Optional[str] = None,
+) -> Tuple[np.ndarray, int]:
+    """Per-access LRU miss flags of one level, in program order.
 
-    Returns ``(cold, capacity_conflict, next_lines, next_writes)`` with the
-    identical counters and identically ordered next-level stream as the
-    reference loop in :mod:`repro.cache.static_model`.  The filtering
-    cascade checkpoints ``deadline`` (and the ``cm.chunk`` fault site) at
-    its stage boundaries and inside the chunked counting rounds, mirroring
-    the reference engine's cooperative interruption points.
+    Returns ``(missed, cold)``: ``missed[i]`` is set exactly when access
+    ``i`` misses a per-set true-LRU cache (set ``line % num_sets``, i.e.
+    its set-local reuse distance is at least ``assoc`` or it is a first
+    touch), and ``cold`` counts the first touches.  This is the stages
+    1-6 cascade of the module docstring; PolyUFC-CM (:func:`model_level`)
+    and the write-back hardware simulator (:mod:`repro.cache.simulator`)
+    both classify through it.  ``site`` names the fault site fired at
+    the cascade's checkpoints and ``deadline`` is checked there; callers
+    that pass neither see no checkpoint at all.
     """
     lines = np.ascontiguousarray(lines, dtype=np.int64)
-    writes = np.ascontiguousarray(writes, dtype=bool)
     n = lines.size
     if n == 0:
-        return _empty_level()
+        return np.zeros(0, dtype=bool), 0
     num_sets = config.num_sets
     assoc = config.associativity
 
@@ -370,6 +388,7 @@ def model_level(
         new_block = np.empty(n, dtype=bool)
         new_block[0] = True
         np.not_equal(grouped_sets[1:], grouped_sets[:-1], out=new_block[1:])
+        del grouped_sets
     else:
         times = None
         grouped = lines
@@ -384,16 +403,19 @@ def model_level(
     kept_idx = np.flatnonzero(keep)
     kept_lines = grouped[kept_idx]
     m = kept_idx.size
-
+    # Drop the n-sized intermediates before the m-sized work below; the
+    # cascade's peak memory is the classifier's (and so the CM's and the
+    # simulator's) peak.
     kept_new_block = new_block[kept_idx]
-    block_id = np.cumsum(kept_new_block) - 1
-    block_start = np.flatnonzero(kept_new_block)[block_id]
+    del grouped, keep, new_block
+    block_start = np.flatnonzero(kept_new_block)[
+        np.cumsum(kept_new_block) - 1
+    ]
     pos = np.arange(m, dtype=np.int64) - block_start
 
     # Stage 3: previous occurrence (a line's set never changes, so the
     # previous occurrence always lies in the same block).
-    faults.fire("cm.chunk")
-    _check_deadline(deadline, "cm.chunk")
+    _checkpoint(deadline, site)
     prev_idx = _prev_occurrence(kept_lines)
     cold_mask = prev_idx < 0
     cold = int(cold_mask.sum())
@@ -406,11 +428,11 @@ def model_level(
     )
     if int(distinct_per_set.max()) <= assoc:
         miss_kept = cold_mask
-        cap_conflict = 0
     else:
         # Stage 4: short windows are guaranteed hits.
-        window = pos - prev_pos - 1
-        undecided = np.flatnonzero((~cold_mask) & (window >= assoc))
+        undecided = np.flatnonzero(
+            (~cold_mask) & (pos - prev_pos - 1 >= assoc)
+        )
 
         # Stage 5: enough cold accesses inside the window confirm a miss
         # (every cold access is first-in-window wherever it appears).
@@ -423,8 +445,7 @@ def model_level(
         miss_kept = cold_mask.copy()
         miss_kept[undecided[confirmed]] = True
         if hard.size:
-            faults.fire("cm.chunk")
-            _check_deadline(deadline, "cm.chunk")
+            _checkpoint(deadline, site)
             hard_gp = prev_idx[hard]
             hard_p = prev_pos[hard]
             counts = np.zeros(hard.size, dtype=np.int64)
@@ -442,6 +463,7 @@ def model_level(
                     hard_p[narrow],
                     assoc,
                     deadline=deadline,
+                    site=site,
                 )
                 counts[narrow] = narrow_counts
                 if pending.size:
@@ -457,11 +479,12 @@ def model_level(
                     block_start[hard[to_prefix]] + hard_p[to_prefix] + 1
                 )
                 counts[to_prefix] = (
-                    _prefix_count(w, hard[to_prefix], wq, deadline=deadline)
+                    _prefix_count(
+                        w, hard[to_prefix], wq, deadline=deadline, site=site
+                    )
                     - wq
                 )
             miss_kept[hard[counts >= assoc]] = True
-        cap_conflict = int(miss_kept.sum()) - cold
 
     # Scatter misses back to program order (collapsed accesses never miss).
     missed = np.zeros(n, dtype=bool)
@@ -469,6 +492,33 @@ def model_level(
         missed[times[kept_idx[miss_kept]]] = True
     else:
         missed[kept_idx[miss_kept]] = True
+    return missed, cold
+
+
+def model_level(
+    lines: np.ndarray,
+    writes: np.ndarray,
+    config: CacheLevelConfig,
+    deadline: Optional[Deadline] = None,
+) -> Tuple[int, int, np.ndarray, np.ndarray]:
+    """One write-through level, vectorized.
+
+    Returns ``(cold, capacity_conflict, next_lines, next_writes)`` with the
+    identical counters and identically ordered next-level stream as the
+    reference loop in :mod:`repro.cache.static_model`.  The classification
+    (:func:`lru_miss_mask`) checkpoints ``deadline`` and the ``cm.chunk``
+    fault site at its stage boundaries and inside the chunked counting
+    rounds, mirroring the reference engine's cooperative interruption
+    points.
+    """
+    lines = np.ascontiguousarray(lines, dtype=np.int64)
+    writes = np.ascontiguousarray(writes, dtype=bool)
+    if lines.size == 0:
+        return _empty_level()
+    missed, cold = lru_miss_mask(
+        lines, config, deadline=deadline, site="cm.chunk"
+    )
+    cap_conflict = int(missed.sum()) - cold
 
     # Write-through next-level stream: fetch (read) per miss, then the
     # forwarded write for stores, in access order.

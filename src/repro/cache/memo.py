@@ -8,7 +8,8 @@ This module gives those call sites content-addressed reuse:
   result depends on: the printed IR of the traced ops (which covers buffer
   shapes, dtypes and module params), the cache hierarchy geometry, the
   thread count, the parallel flag, the engine, and the trace budget.
-* :func:`memoized_trace` -- in-process LRU over :func:`generate_trace`.
+* :func:`memoized_trace` -- in-process LRU over :func:`generate_trace`;
+  :func:`cached_trace` looks a stored trace up without generating.
 * :func:`memoized_cm` -- in-process LRU over the full trace+CM evaluation,
   plus an optional on-disk layer (JSON per fingerprint) so results survive
   across processes; point it at a directory via ``memo_dir=`` or
@@ -210,6 +211,22 @@ def memoized_trace(
     )
     _trace_lru.put(key, trace)
     return trace
+
+
+def cached_trace(
+    module: Module,
+    ops: Optional[Sequence[Op]] = None,
+    max_accesses: int = 60_000_000,
+) -> Optional[AccessTrace]:
+    """The trace :func:`memoized_trace` stored for these arguments, if any.
+
+    A pure lookup that never generates: ``None`` on a miss and whenever
+    the memo is disabled.  Lets a later consumer of the same unit (the
+    service's hardware simulation) reuse the trace the CM already built.
+    """
+    if not memo_enabled():
+        return None
+    return _trace_lru.get(trace_fingerprint(module, ops, max_accesses))
 
 
 def _cm_to_payload(cm: CacheModelResult) -> dict:

@@ -8,7 +8,9 @@ ladder under the job's deadline) and attaches the hardware-side workload
 (exact cache-simulator counters), reusing the store's content-addressed
 workload objects when jobs differ only in objective / epsilon / overhead
 / engine -- the simulator never sees those knobs, so the counters are
-shared by construction.
+shared by construction.  The simulator reads the very trace the CM
+evaluation generated (from the in-process trace memo) instead of
+regenerating it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import logging
 from typing import List, Optional, Tuple
 
 from repro.benchsuite import get_benchmark
+from repro.cache.memo import cached_trace
 from repro.cache.parametric_model import (
     FamilyFitError,
     ParametricCharacterization,
@@ -41,6 +44,13 @@ def _hardware_rows(
 ) -> Tuple[List[dict], List[Optional[str]], bool]:
     """Exact-simulator counters per unit: (rows, warnings, cacheable).
 
+    Each unit simulates the exact trace its CM evaluation already left in
+    the in-process trace memo (same module, ops and default budget, so
+    the same fingerprint).  The trace is generated afresh only when the
+    memo has none: the CM was itself served from a memo or the family
+    artifact, ran the trace-free symbolic engine, degraded to ``approx``,
+    or the memo is disabled (``REPRO_CM_MEMO=0``).
+
     A unit whose CM side degraded to ``timeout-cap`` is not simulated
     (the exact trace it needs is exactly what timed out) and a unit
     whose simulation fails gets zero counters plus a warning -- in both
@@ -63,7 +73,9 @@ def _hardware_rows(
             cacheable = False
         else:
             try:
-                trace = generate_trace(result.tiled_module, unit.ops)
+                trace = cached_trace(result.tiled_module, unit.ops)
+                if trace is None:
+                    trace = generate_trace(result.tiled_module, unit.ops)
                 sim = simulate_hierarchy(trace, plat.hierarchy)
             except DEGRADABLE_ERRORS as exc:
                 log.warning(

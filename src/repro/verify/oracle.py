@@ -16,9 +16,11 @@ and runs the full check battery:
 * a generous :class:`~repro.runtime.Deadline` and a non-truncating
   ``truncate=True`` trace must not change anything (degradation plumbing
   is a no-op when nothing degrades).
-* the hardware simulator agrees on access counts at level 0 and can
-  never miss fewer times than the model's cold misses (every first
-  touch of a line misses an empty cache).
+* the hardware simulator agrees on access counts at level 0, its
+  level-0 misses equal the ``reference`` engine's cold +
+  capacity/conflict misses (same stream, same LRU; the loop engine
+  keeps the check independent of the classifier the simulator shares
+  with ``fast``), and every level's hits + misses equal its accesses.
 
 **Metamorphic** (properties that hold for *any* kernel in the class):
 
@@ -292,14 +294,25 @@ def run_case(spec: KernelSpec) -> CaseResult:
                 f"distinct lines touched ({distinct_lines})",
             )
         )
-    if sim_l0[2] < model_l0.cold_misses:
+    # Same stream, same LRU, no thread division below the LLC: equal.
+    model_misses = model_l0.cold_misses + model_l0.capacity_conflict_misses
+    if sim_l0[2] != model_misses:
         result.disagreements.append(
             Disagreement(
                 "simulator-invariants",
-                f"simulator missed fewer times ({sim_l0[2]}) than the "
-                f"model's cold misses ({model_l0.cold_misses})",
+                f"level-0 misses differ: sim={sim_l0[2]} reference "
+                f"cold+capacity/conflict={model_misses}",
             )
         )
+    for level in sim.levels:
+        if level.hits + level.misses != level.accesses:
+            result.disagreements.append(
+                Disagreement(
+                    "simulator-invariants",
+                    f"level {level.name}: hits {level.hits} + misses "
+                    f"{level.misses} != accesses {level.accesses}",
+                )
+            )
 
     # --- metamorphic properties (fast engine; engine-diff above makes
     # --- the choice of engine immaterial) ---------------------------------

@@ -14,7 +14,8 @@ from repro.cache import (
     polyufc_cm,
     unit_fingerprint,
 )
-from repro.cache.memo import _cm_lru, _trace_lru
+from repro.cache import memo
+from repro.cache.memo import _cm_lru, _trace_lru, cached_trace
 
 
 @pytest.fixture(autouse=True)
@@ -84,6 +85,41 @@ class TestInProcessMemo:
             module(), None, hier(), threads=4, parallel=True
         )
         assert serial.threads != threaded.threads
+
+
+def _forbid_generation(monkeypatch):
+    monkeypatch.setattr(
+        memo, "generate_trace",
+        lambda *a, **k: pytest.fail("cached_trace generated a trace"),
+    )
+
+
+class TestCachedTrace:
+    """The generate-free lookup of a trace :func:`memoized_trace` stored."""
+
+    def test_returns_the_stored_object(self, monkeypatch):
+        mod = module()
+        stored = memoized_trace(mod, mod.ops[:1])
+        _forbid_generation(monkeypatch)
+        assert cached_trace(mod, mod.ops[:1]) is stored
+        # an equal module prints identically: same fingerprint, same slot
+        twin = module()
+        assert cached_trace(twin, twin.ops[:1]) is stored
+
+    def test_none_on_miss(self, monkeypatch):
+        mod = module()
+        memoized_trace(mod, mod.ops[:1])
+        _forbid_generation(monkeypatch)
+        assert cached_trace(mod) is None  # other ops
+        assert cached_trace(mod, mod.ops[:1], max_accesses=10) is None
+        assert cached_trace(POLYBENCH_BUILDERS["mvt"](n=5)) is None
+
+    def test_none_when_memo_disabled(self, monkeypatch):
+        mod = module()
+        memoized_trace(mod)
+        monkeypatch.setenv("REPRO_CM_MEMO", "0")
+        _forbid_generation(monkeypatch)
+        assert cached_trace(mod) is None
 
 
 class TestDiskMemo:
