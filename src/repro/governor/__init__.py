@@ -27,7 +27,6 @@ from repro.governor.tenancy import (
     Tenant,
     TenantKernel,
     TenancyConfig,
-    contended_workload,
     hindsight_oracle,
     run_multitenant,
     socket_step,
@@ -44,6 +43,7 @@ from repro.governor.traces import (
     scale_workload,
     service_resolver,
 )
+from repro.hw.governor import contended_workload
 
 __all__ = [
     "AdaptiveConfig",

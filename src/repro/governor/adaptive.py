@@ -20,6 +20,9 @@ Costs are modelled honestly:
 Learned per-kernel frequencies persist across occurrences within an
 :class:`AdaptiveController`, so a phase-change trace pays the climb once
 per distinct kernel, not once per occurrence.
+
+The controller is an :class:`AdaptivePolicy` on the shared interval
+engine; its :class:`HillClimb` also drives ``AdaptiveSocketPolicy``.
 """
 
 from __future__ import annotations
@@ -27,15 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.hw.execution import (
-    KernelWorkload,
-    RunResult,
-    compute_time_s,
-    instant_power_w,
-    memory_time_s,
-    uncore_time_s,
+# memory_time_s stays importable here: perfbench/tracing.py patches it
+from repro.hw.execution import KernelWorkload, memory_time_s  # noqa: F401
+from repro.hw.governor import (
+    IntervalPolicy,
+    SequenceResult,
+    TenantKernel,
+    run_intervals,
 )
-from repro.hw.governor import SequenceResult, exhaustion_warning
 from repro.hw.platform import PlatformSpec
 
 
@@ -86,6 +88,115 @@ class AdaptiveController:
         self.learned[workload.name] = freq_ghz
 
 
+@dataclass
+class HillClimb:
+    """Probe-and-revert climb around a base frequency, one decision per
+    control interval: a probe one ``step_ghz`` away must beat the base's
+    score by ``explore_margin`` or is reverted; after both directions
+    reject, hold ``settle_intervals``.  ``params`` carries those fields
+    (:class:`AdaptiveConfig`, ``AdaptiveSocketPolicy``).
+    """
+
+    base_ghz: float
+    direction: int = 0
+    base_score: Optional[float] = None
+    probing: bool = False
+    failed_directions: int = 0
+    settle: int = 0
+
+    def decide(
+        self, measured: float, current_ghz: float, uncore, params
+    ) -> float:
+        """The frequency to run next, given the score ``measured`` over
+        the interval just spent at ``current_ghz``."""
+        if self.settle > 0:
+            self.settle -= 1
+            if self.settle == 0:
+                self.base_score = None  # stale after holding; re-measure
+            return self.base_ghz
+        if not self.probing:
+            self.base_score = measured
+            target = uncore.clamp(
+                self.base_ghz + self.direction * params.step_ghz
+            )
+            if abs(target - self.base_ghz) <= 1e-9:
+                # pinned against a bound: try the other way once
+                self._reject_direction(params)
+                return self.base_ghz
+            self.probing = True
+            return target
+        # -- a probe interval just finished
+        self.probing = False
+        if self.base_score is not None and measured < self.base_score * (
+            1.0 - params.explore_margin
+        ):
+            self.base_ghz = current_ghz
+            self.base_score = measured
+            self.failed_directions = 0
+            return current_ghz  # keep climbing the same direction
+        # worse (or flat): revert to base, flip direction
+        self._reject_direction(params)
+        return self.base_ghz
+
+    def _reject_direction(self, params) -> None:
+        self.direction = -self.direction
+        self.failed_directions += 1
+        if self.failed_directions >= 2:
+            # both directions rejected: converged; hold, then re-probe
+            self.failed_directions = 0
+            self.settle = params.settle_intervals
+
+
+class AdaptivePolicy(IntervalPolicy):
+    """Per-kernel :class:`HillClimb` on the interval-mean EDP density,
+    restarted from the controller's seed at each kernel occurrence.  The
+    seed write is paid even on the first kernel, exactly as
+    ``run_capped_sequence`` charges its first cap."""
+
+    carries_interval = False
+    pays_for_first_write = True
+    records_base_frequency = True
+    feedback = "edp_density"
+
+    def __init__(
+        self,
+        platform: PlatformSpec,
+        config: AdaptiveConfig,
+        controller: AdaptiveController,
+    ):
+        super().__init__(platform, config)
+        self.controller = controller
+
+    @property
+    def base_ghz(self) -> float:
+        return self.climb.base_ghz
+
+    def begin(self, combo, units, freq):
+        (unit,) = units
+        seed = self.controller.seed_freq(unit.workload, unit.cap_ghz)
+        self.climb = HillClimb(seed)
+        if freq is None or abs(seed - freq) > 1e-9:
+            return seed
+        return None
+
+    def interval_end(self, freq, step, mean):
+        if self.climb.direction == 0:
+            # initial probe direction from memory boundedness: a
+            # bandwidth-hungry kernel explores up, a compute-bound
+            # kernel explores down.
+            bound = step.uncore_boundedness
+            self.climb.direction = (
+                1 if bound > self.config.high_boundedness else -1
+            )
+        target = self.climb.decide(
+            mean, freq, self.platform.uncore, self.config
+        )
+        return None if abs(target - freq) <= 1e-9 else target
+
+    def kernel_done(self, unit):
+        self.controller.remember(unit.workload, self.base_ghz)
+
+
 def run_adaptive_sequence(
     platform: PlatformSpec,
     items: Sequence[Tuple[KernelWorkload, Optional[float]]],
@@ -99,148 +210,16 @@ def run_adaptive_sequence(
     known, e.g. a cold service miss), like ``run_capped_sequence``.  Pass a
     shared ``controller`` to persist learned frequencies across calls.
     """
-    ctl = controller or AdaptiveController(platform, config)
-    uncore = platform.uncore
-    runs: List[RunResult] = []
-    total_time = 0.0
-    total_energy = 0.0
-    switches = 0
-    warnings: List[str] = []
-    intervals = 0
-    current: Optional[float] = None
-    for index, (workload, cap) in enumerate(items):
-        if warnings:
-            break
-        kernel_time = 0.0
-        kernel_energy = 0.0
-        # -- seed from the static cap / learned state, paying the driver
-        # write if the frequency actually moves (run_capped_sequence
-        # charges the identical cost for a cap change).
-        freq = ctl.seed_freq(workload, cap)
-        if current is None or abs(freq - current) > 1e-9:
-            switches += 1
-            overhead = platform.cap_overhead_s
-            idle_power = platform.p_constant_w + platform.uncore_power_w(
-                freq, 0.0
-            )
-            kernel_time += overhead
-            kernel_energy += idle_power * overhead
-        current = freq
-
-        # -- hill-climb state for this kernel occurrence
-        base_freq = freq
-        base_score: Optional[float] = None
-        probing = False
-        direction = 0
-        failed_directions = 0
-        settle = 0
-        interval_left = config.interval_s
-        score_weighted = 0.0
-        interval_elapsed = 0.0
-        progress = 0.0
-        while progress < 1.0:
-            intervals += 1
-            if intervals > config.max_intervals:
-                warnings.append(exhaustion_warning(
-                    config.max_intervals, workload.name,
-                    index, len(items), progress,
-                ))
-                break
-            t_compute = compute_time_s(platform, workload)
-            t_memory = memory_time_s(platform, workload, freq, prefetch)
-            full_time = max(t_compute, t_memory) + platform.overlap_rho * min(
-                t_compute, t_memory
-            )
-            power = instant_power_w(
-                platform, workload, freq, t_compute, t_memory, full_time
-            )
-            # EDP density: minimizing power * T^2 at fixed work minimizes
-            # the kernel's EDP -- the controller's "counter feedback" is
-            # instant power (RAPL) and the time model (cycles/traffic).
-            score = power * full_time * full_time
-            remaining = (1.0 - progress) * full_time
-            slice_s = min(interval_left, remaining)
-            progress += slice_s / full_time if full_time else 1.0
-            kernel_time += slice_s
-            kernel_energy += power * slice_s
-            score_weighted += score * slice_s
-            interval_elapsed += slice_s
-            interval_left -= slice_s
-            if interval_left > 1e-12:
-                continue
-            # -- interval boundary: one controller decision
-            measured = (
-                score_weighted / interval_elapsed if interval_elapsed else 0.0
-            )
-            interval_left = config.interval_s
-            score_weighted = 0.0
-            interval_elapsed = 0.0
-            if settle > 0:
-                settle -= 1
-                if settle == 0:
-                    base_score = None  # stale after holding; re-measure
-                continue
-            if direction == 0:
-                # initial probe direction from memory boundedness: a
-                # bandwidth-hungry kernel explores up, a compute-bound
-                # kernel explores down.
-                t_uncore = uncore_time_s(platform, workload, freq, prefetch)
-                bound = t_uncore / full_time if full_time else 0.0
-                direction = 1 if bound > config.high_boundedness else -1
-            if not probing:
-                base_score = measured
-                target = uncore.clamp(base_freq + direction * config.step_ghz)
-                if abs(target - base_freq) <= 1e-9:
-                    # pinned against a bound: try the other way once
-                    direction = -direction
-                    failed_directions += 1
-                    if failed_directions >= 2:
-                        failed_directions = 0
-                        settle = config.settle_intervals
-                    continue
-                freq = target
-                switches += 1
-                overhead = platform.cap_overhead_s
-                idle_power = (
-                    platform.p_constant_w + platform.uncore_power_w(freq, 0.0)
-                )
-                kernel_time += overhead
-                kernel_energy += idle_power * overhead
-                probing = True
-                continue
-            # -- a probe interval just finished
-            probing = False
-            improved = (
-                base_score is not None
-                and measured < base_score * (1.0 - config.explore_margin)
-            )
-            if improved:
-                base_freq = freq
-                base_score = measured
-                failed_directions = 0
-                continue  # keep climbing the same direction next interval
-            # worse (or flat): revert to base, flip direction
-            freq = base_freq
-            switches += 1
-            overhead = platform.cap_overhead_s
-            idle_power = (
-                platform.p_constant_w + platform.uncore_power_w(freq, 0.0)
-            )
-            kernel_time += overhead
-            kernel_energy += idle_power * overhead
-            direction = -direction
-            failed_directions += 1
-            if failed_directions >= 2:
-                # both directions rejected: converged; hold, then re-probe
-                failed_directions = 0
-                settle = config.settle_intervals
-        current = freq
-        ctl.remember(workload, base_freq)
-        runs.append(RunResult(workload.name, base_freq, kernel_time, kernel_energy))
-        total_time += kernel_time
-        total_energy += kernel_energy
-    return SequenceResult(
-        runs, total_time, total_energy, switches, warnings=warnings
+    return run_intervals(
+        platform,
+        [(None, [TenantKernel(workload, cap) for workload, cap in items])],
+        AdaptivePolicy(
+            platform, config,
+            controller or AdaptiveController(platform, config),
+        ),
+        config.interval_s,
+        config.max_intervals,
+        prefetch,
     )
 
 
@@ -256,14 +235,12 @@ def oracle_caps(
     """
     from repro.hw.execution import execute_fixed
 
-    caps: List[float] = []
-    for workload in workloads:
-        best_f = platform.uncore.f_max_ghz
-        best_edp = float("inf")
-        for f in platform.uncore.frequencies():
-            run = execute_fixed(platform, workload, f, prefetch, noisy=False)
-            if run.edp < best_edp:
-                best_edp = run.edp
-                best_f = f
-        caps.append(best_f)
-    return caps
+    return [
+        min(
+            platform.uncore.frequencies(),
+            key=lambda f: execute_fixed(
+                platform, workload, f, prefetch, noisy=False
+            ).edp,
+        )
+        for workload in workloads
+    ]

@@ -11,47 +11,43 @@ Contention is modelled in two places:
 * **LLC capacity**: with ``n`` active tenants each effectively owns a
   ``1/n`` slice, so a fraction of each kernel's LLC *hits* are displaced
   to DRAM (``llc_displacement`` scales how many), growing its DRAM
-  traffic via :func:`contended_workload`;
+  traffic via :func:`repro.hw.governor.contended_workload`;
 * **DRAM bandwidth**: per interval, each tenant's standalone demand is
   summed; past the roofline the shared pipe stretches everyone's memory
   time proportionally, applied through the ``dram_bw_fraction`` hook in
   :func:`repro.hw.execution.memory_time_s`.
 
-:func:`run_multitenant` co-simulates the tenants interval by interval
+:func:`run_multitenant` co-simulates the tenants interval by interval,
+one lane each on the shared engine (:func:`repro.hw.governor.run_intervals`),
 under a pluggable :class:`SocketPolicy` choosing the shared frequency:
 isolation-max static caps, the model-side joint solve
 (:func:`repro.search.joint.joint_cap_search`), a reactive UFS-style
 stepper, the online adaptive hill-climb, and a ground-truth per-combo
 oracle.  Frequency changes pay the driver overhead at idle power, exactly
-as single-tenant drivers charge it.
+as single-tenant drivers charge it, but booked to the socket.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.governor.adaptive import HillClimb
 from repro.hw.execution import (
     KernelWorkload,
-    RunResult,
     compute_time_s,
     instant_power_w,
     memory_time_s,
     uncore_time_s,
 )
-from repro.hw.governor import SequenceResult, exhaustion_warning
+from repro.hw.governor import (
+    IntervalPolicy,
+    SequenceResult,
+    TenantKernel,
+    reactive_step,
+    run_intervals,
+)
 from repro.hw.platform import PlatformSpec
-from repro.model.parametric import KernelSummary
-
-
-@dataclass(frozen=True)
-class TenantKernel:
-    """One kernel in a tenant's queue: hw workload + optional model side."""
-
-    workload: KernelWorkload
-    cap_ghz: Optional[float] = None
-    summary: Optional[KernelSummary] = None
 
 
 @dataclass(frozen=True)
@@ -73,36 +69,13 @@ class TenancyConfig:
     max_intervals: int = 2_000_000
 
 
-def contended_workload(
-    workload: KernelWorkload,
-    share: float,
-    line_bytes: int,
-    llc_displacement: float = 0.5,
-) -> KernelWorkload:
-    """The workload as seen with only ``share`` of the LLC capacity.
-
-    Displaced hits are re-billed as DRAM line fetches; private-cache
-    traffic and flops are untouched.
-    """
-    if share >= 1.0 or len(workload.level_accesses) < 3:
-        return workload
-    llc_hits = max(0, workload.level_accesses[2] - workload.dram_lines)
-    moved = int(llc_displacement * (1.0 - share) * llc_hits)
-    if moved <= 0:
-        return workload
-    return dataclasses.replace(
-        workload,
-        dram_fetch_bytes=workload.dram_fetch_bytes + moved * line_bytes,
-        dram_lines=workload.dram_lines + moved,
-    )
-
-
 @dataclass(frozen=True)
 class SocketStep:
     """Ground-truth socket state for one combination at one frequency."""
 
     full_times: Tuple[float, ...]
     tenant_powers: Tuple[float, ...]  # attributable (core + DRAM) per tenant
+    kernel_powers: Tuple[float, ...]  # attributable + even shared share
     socket_power_w: float
     boundedness: float  # aggregate uncore-side pressure, drives reactive
     #: EDP-density proxy P * max_i(T_i)^2 -- socket power times the
@@ -153,7 +126,7 @@ def socket_step(
     ]
     # Socket power: the constant and the (shared-domain) uncore terms are
     # counted once; core and DRAM terms are per-tenant and attributable.
-    uncore_util = 0.0
+    uncore_util = bound_num = bound_den = 0.0
     tenant_powers: List[float] = []
     for wl, tc, tm, ft in zip(workloads, t_computes, t_memories, full_times):
         if ft <= 0:
@@ -167,45 +140,49 @@ def socket_step(
             - platform.p_constant_w
             - platform.uncore_power_w(f_ghz, mem_util)
         )
-    socket_power = (
-        platform.p_constant_w
-        + platform.uncore_power_w(f_ghz, uncore_util)
-        + sum(tenant_powers)
-    )
-    makespan = max(full_times, default=0.0)
-    score = socket_power * makespan * makespan
-    bound_num = 0.0
-    bound_den = 0.0
-    for wl, ft in zip(workloads, full_times):
-        if ft <= 0:
-            continue
         t_unc = uncore_time_s(
             platform, wl, f_ghz, prefetch, dram_bw_fraction=fraction
         )
         bound_num += min(1.0, t_unc / ft) * ft
         bound_den += ft
-    boundedness = bound_num / bound_den if bound_den else 0.0
+    socket_power = (
+        platform.p_constant_w
+        + platform.uncore_power_w(f_ghz, uncore_util)
+        + sum(tenant_powers)
+    )
+    shared = platform.p_constant_w + (
+        socket_power - platform.p_constant_w - sum(tenant_powers)
+    )  # the constant and the single shared uncore term
+    makespan = max(full_times, default=0.0)
     return SocketStep(
         full_times=tuple(full_times),
         tenant_powers=tuple(tenant_powers),
+        kernel_powers=tuple(
+            p + shared / len(workloads) for p in tenant_powers
+        ),
         socket_power_w=socket_power,
-        boundedness=boundedness,
-        score=score,
+        boundedness=bound_num / bound_den if bound_den else 0.0,
+        score=socket_power * makespan * makespan,
     )
 
 
 ComboKey = Tuple[Tuple[str, str], ...]  # ((tenant, kernel), ...)
 
 
-class SocketPolicy:
+class SocketPolicy(IntervalPolicy):
     """Chooses the shared uncore frequency, once per control interval.
 
-    ``frequency`` receives the active combination (contended units), the
-    frequency currently set, and the ground-truth feedback measured over
-    the interval that just elapsed at that frequency.
+    ``frequency`` receives the active combination (units carrying the
+    contended workloads the run simulates), the frequency currently set,
+    and the ground-truth feedback measured over the interval that just
+    elapsed at that frequency (``None`` if on another combination).
     """
 
     name = "socket-policy"
+    carries_interval = False
+    books_to_socket = True
+    platform: PlatformSpec
+    _combo: Optional[ComboKey] = None
 
     def frequency(
         self,
@@ -215,6 +192,20 @@ class SocketPolicy:
         feedback: Optional[SocketStep],
     ) -> float:
         raise NotImplementedError
+
+    def evaluate(self, platform, workloads, f_ghz, prefetch):
+        return socket_step(platform, workloads, f_ghz, prefetch)
+
+    def before_step(self, combo, units, freq, last):
+        if freq is None or combo != self._combo:
+            self._combo, last = combo, None  # measured on another combo
+        uncore = self.platform.uncore
+        target = uncore.clamp(self.frequency(
+            combo, units, uncore.f_max_ghz if freq is None else freq, last,
+        ))
+        if freq is None or abs(target - freq) > 1e-9:
+            return target
+        return None
 
 
 class IsolationMaxPolicy(SocketPolicy):
@@ -302,11 +293,9 @@ class ReactiveSocketPolicy(SocketPolicy):
             )
         if feedback is None:
             return current_ghz
-        if feedback.boundedness > self.high_boundedness:
-            return self.platform.uncore.clamp(current_ghz + self.up_step_ghz)
-        if feedback.boundedness < self.low_boundedness:
-            return self.platform.uncore.clamp(current_ghz - self.down_step_ghz)
-        return current_ghz
+        return reactive_step(
+            self.platform.uncore, current_ghz, feedback.boundedness, self
+        )
 
 
 class AdaptiveSocketPolicy(SocketPolicy):
@@ -332,64 +321,21 @@ class AdaptiveSocketPolicy(SocketPolicy):
         self.explore_margin = explore_margin
         self.settle_intervals = settle_intervals
         self._seed = IsolationMaxPolicy(platform)
-        self._state: Dict[ComboKey, dict] = {}
+        self._climbs: Dict[ComboKey, HillClimb] = {}
 
     def frequency(self, combo, units, current_ghz, feedback):
-        state = self._state.get(combo)
-        if state is None:
+        climb = self._climbs.get(combo)
+        if climb is None:
             seed = self.platform.uncore.clamp(
                 self._seed.frequency(combo, units, current_ghz, feedback)
             )
-            state = {
-                "base": seed,
-                "base_score": None,
-                "direction": -1,
-                "probing": False,
-                "failed": 0,
-                "settle": 0,
-            }
-            self._state[combo] = state
+            self._climbs[combo] = HillClimb(seed, direction=-1)
             return seed
         if feedback is None:
-            return state["base"]
-        uncore = self.platform.uncore
-        if state["settle"] > 0:
-            state["settle"] -= 1
-            if state["settle"] == 0:
-                state["base_score"] = None
-            return state["base"]
-        if state["probing"]:
-            state["probing"] = False
-            base_score = state["base_score"]
-            improved = (
-                base_score is not None
-                and feedback.score < base_score * (1.0 - self.explore_margin)
-            )
-            if improved:
-                state["base"] = current_ghz
-                state["base_score"] = feedback.score
-                state["failed"] = 0
-                return current_ghz
-            state["direction"] = -state["direction"]
-            state["failed"] += 1
-            if state["failed"] >= 2:
-                state["failed"] = 0
-                state["settle"] = self.settle_intervals
-            return state["base"]
-        # sitting at base: record its score, then probe
-        state["base_score"] = feedback.score
-        target = uncore.clamp(
-            state["base"] + state["direction"] * self.step_ghz
+            return climb.base_ghz
+        return climb.decide(
+            feedback.score, current_ghz, self.platform.uncore, self
         )
-        if abs(target - state["base"]) <= 1e-9:
-            state["direction"] = -state["direction"]
-            state["failed"] += 1
-            if state["failed"] >= 2:
-                state["failed"] = 0
-                state["settle"] = self.settle_intervals
-            return state["base"]
-        state["probing"] = True
-        return target
 
 
 class FixedFrequencyPolicy(SocketPolicy):
@@ -398,6 +344,7 @@ class FixedFrequencyPolicy(SocketPolicy):
     name = "fixed"
 
     def __init__(self, platform: PlatformSpec, f_ghz: float):
+        self.platform = platform
         self.f_ghz = platform.uncore.clamp(f_ghz)
 
     def frequency(self, combo, units, current_ghz, feedback):
@@ -420,23 +367,16 @@ class OracleSocketPolicy(SocketPolicy):
 
     def frequency(self, combo, units, current_ghz, feedback):
         cached = self._memo.get(combo)
-        if cached is not None:
-            return cached
-        share = 1.0 / len(units) if units else 1.0
-        line = self.platform.hierarchy.line_bytes
-        workloads = [
-            contended_workload(unit.workload, share, line)
-            for unit in units
-        ]
-        best_f = self.platform.uncore.f_max_ghz
-        best = float("inf")
-        for f in self.platform.uncore.frequencies():
-            step = socket_step(self.platform, workloads, f, self.prefetch)
-            if step.score < best:
-                best = step.score
-                best_f = f
-        self._memo[combo] = best_f
-        return best_f
+        if cached is None:
+            # the units carry the run's own contended workloads
+            workloads = [unit.workload for unit in units]
+            cached = self._memo[combo] = min(
+                self.platform.uncore.frequencies(),
+                key=lambda f: socket_step(
+                    self.platform, workloads, f, self.prefetch
+                ).score,
+            )
+        return cached
 
 
 def hindsight_oracle(
@@ -451,21 +391,14 @@ def hindsight_oracle(
     a trace-level optimum (combination boundaries shift), so the sweep
     over full-run schedules is what actually bounds the online policies.
     """
-    best: Optional[SequenceResult] = None
-    for f in platform.uncore.frequencies():
-        result = run_multitenant(
-            platform, tenants, FixedFrequencyPolicy(platform, f),
-            config, prefetch,
-        )
-        if best is None or result.edp < best.edp:
-            best = result
-    greedy = run_multitenant(
-        platform, tenants, OracleSocketPolicy(platform, prefetch),
-        config, prefetch,
+    grid = platform.uncore.frequencies()
+    policies = [FixedFrequencyPolicy(platform, f) for f in grid]
+    policies.append(OracleSocketPolicy(platform, prefetch))
+    return min(
+        (run_multitenant(platform, tenants, p, config, prefetch)
+         for p in policies),
+        key=lambda result: result.edp,
     )
-    if greedy.edp < best.edp:
-        best = greedy
-    return best
 
 
 def run_multitenant(
@@ -485,122 +418,12 @@ def run_multitenant(
     """
     if not 1 <= len(tenants) <= 8:
         raise ValueError("run_multitenant expects 1-8 tenants")
-    line = platform.hierarchy.line_bytes
-    indices = [0] * len(tenants)
-    progress = [0.0] * len(tenants)
-    kernel_time = [0.0] * len(tenants)
-    kernel_energy = [0.0] * len(tenants)
-    runs: List[RunResult] = []
-    total_time = 0.0
-    total_energy = 0.0
-    switches = 0
-    warnings: List[str] = []
-    intervals = 0
-    freq: Optional[float] = None
-    feedback: Optional[SocketStep] = None
-    last_combo: Optional[ComboKey] = None
-    total_kernels = sum(len(t.kernels) for t in tenants)
-    done_kernels = 0
-
-    def finish(ti: int, f: float) -> None:
-        nonlocal done_kernels
-        tenant = tenants[ti]
-        unit = tenant.kernels[indices[ti]]
-        runs.append(RunResult(
-            f"{tenant.name}:{unit.workload.name}",
-            f,
-            kernel_time[ti],
-            kernel_energy[ti],
-        ))
-        indices[ti] += 1
-        progress[ti] = 0.0
-        kernel_time[ti] = 0.0
-        kernel_energy[ti] = 0.0
-        done_kernels += 1
-
-    while True:
-        active = [
-            ti for ti in range(len(tenants))
-            if indices[ti] < len(tenants[ti].kernels)
-        ]
-        if not active:
-            break
-        n = len(active)
-        share = 1.0 / n
-        units = [tenants[ti].kernels[indices[ti]] for ti in active]
-        workloads = [
-            contended_workload(
-                unit.workload, share, line, config.llc_displacement
-            )
-            for unit in units
-        ]
-        combo: ComboKey = tuple(
-            (tenants[ti].name, unit.workload.name)
-            for ti, unit in zip(active, units)
-        )
-        if combo != last_combo:
-            feedback = None  # stale: measured on a different combination
-            last_combo = combo
-        intervals += 1
-        if intervals > config.max_intervals:
-            warnings.append(exhaustion_warning(
-                config.max_intervals,
-                "+".join(name for _, name in combo),
-                done_kernels,
-                total_kernels,
-                sum(progress[ti] for ti in active) / n,
-            ))
-            break
-        if freq is None:
-            freq = platform.uncore.clamp(
-                policy.frequency(combo, units, platform.uncore.f_max_ghz, None)
-            )
-        else:
-            target = platform.uncore.clamp(
-                policy.frequency(combo, units, freq, feedback)
-            )
-            if abs(target - freq) > 1e-9:
-                switches += 1
-                overhead = platform.cap_overhead_s
-                idle_power = platform.p_constant_w + platform.uncore_power_w(
-                    target, 0.0
-                )
-                total_time += overhead
-                total_energy += idle_power * overhead
-                freq = target
-        step = socket_step(platform, workloads, freq, prefetch)
-        feedback = step
-        # zero-duration kernels complete instantly at the current frequency
-        finished_now = [
-            ti for ti, ft in zip(active, step.full_times) if ft <= 0
-        ]
-        if finished_now:
-            for ti in finished_now:
-                finish(ti, freq)
-            continue
-        dt = min(
-            [config.interval_s]
-            + [
-                (1.0 - progress[pos_i]) * ft
-                for pos_i, ft in zip(active, step.full_times)
-            ]
-        )
-        shared_power = platform.p_constant_w + (
-            step.socket_power_w
-            - platform.p_constant_w
-            - sum(step.tenant_powers)
-        )  # constant + the single shared uncore term
-        for pos, (ti, ft) in enumerate(zip(active, step.full_times)):
-            progress[ti] = min(1.0, progress[ti] + dt / ft)
-            kernel_time[ti] += dt
-            kernel_energy[ti] += (
-                step.tenant_powers[pos] + shared_power / n
-            ) * dt
-        total_time += dt
-        total_energy += step.socket_power_w * dt
-        for ti in list(active):
-            if progress[ti] >= 1.0 - 1e-12:
-                finish(ti, freq)
-    return SequenceResult(
-        runs, total_time, total_energy, switches, warnings=warnings
+    return run_intervals(
+        platform,
+        [(tenant.name, tenant.kernels) for tenant in tenants],
+        policy,
+        config.interval_s,
+        config.max_intervals,
+        prefetch,
+        config.llc_displacement,
     )

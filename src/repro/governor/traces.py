@@ -309,32 +309,21 @@ def _resolve_units(
     return resolved
 
 
-def _expand_single(
-    spec: TraceSpec, resolved: Dict[str, List[TenantKernel]]
-) -> List[TenantKernel]:
-    items: List[TenantKernel] = []
-    for segment in spec.segments:
-        for unit in resolved[segment.benchmark]:
-            items.append(dataclasses.replace(
-                unit, workload=scale_workload(unit.workload, segment.reps)
-            ))
-    return items
-
-
-def _expand_tenants(
-    spec: TraceSpec, resolved: Dict[str, List[TenantKernel]]
-) -> List[Tenant]:
+def _expand(
+    spec: TraceSpec,
+    resolved: Dict[str, List[TenantKernel]],
+    by_tenant: bool,
+) -> Dict[int, List[TenantKernel]]:
+    """Scaled capping units per tenant queue (one queue 0 unless
+    ``by_tenant``), in segment order."""
     queues: Dict[int, List[TenantKernel]] = {}
     for segment in spec.segments:
-        queue = queues.setdefault(segment.tenant, [])
+        queue = queues.setdefault(segment.tenant if by_tenant else 0, [])
         for unit in resolved[segment.benchmark]:
             queue.append(dataclasses.replace(
                 unit, workload=scale_workload(unit.workload, segment.reps)
             ))
-    return [
-        Tenant(name=f"t{tenant}", kernels=tuple(queue))
-        for tenant, queue in sorted(queues.items())
-    ]
+    return queues
 
 
 def replay_trace(
@@ -354,27 +343,24 @@ def replay_trace(
     resolved = _resolve_units(spec, resolver)
     results: Dict[str, SequenceResult] = {}
     if spec.kind == "multi_tenant":
-        config = tenancy or TenancyConfig()
         from repro.pipeline import get_constants
 
-        constants = get_constants(plat)
-
-        def policies():
-            yield "static", IsolationMaxPolicy(plat)
-            yield "joint", JointModelPolicy(plat, constants)
-            yield "reactive", ReactiveSocketPolicy(plat)
-            yield "adaptive", AdaptiveSocketPolicy(plat)
-
-        for name, policy in policies():
-            tenants = _expand_tenants(spec, resolved)
-            results[name] = run_multitenant(
-                plat, tenants, policy, config
-            )
-        results["oracle"] = hindsight_oracle(
-            plat, _expand_tenants(spec, resolved), config
-        )
+        config = tenancy or TenancyConfig()
+        tenants = [
+            Tenant(name=f"t{tenant}", kernels=tuple(queue))
+            for tenant, queue in sorted(_expand(spec, resolved, True).items())
+        ]
+        policies = {
+            "static": IsolationMaxPolicy(plat),
+            "joint": JointModelPolicy(plat, get_constants(plat)),
+            "reactive": ReactiveSocketPolicy(plat),
+            "adaptive": AdaptiveSocketPolicy(plat),
+        }
+        for name, policy in policies.items():
+            results[name] = run_multitenant(plat, tenants, policy, config)
+        results["oracle"] = hindsight_oracle(plat, tenants, config)
     else:
-        items = _expand_single(spec, resolved)
+        items = _expand(spec, resolved, False)[0]
         capped = [(unit.workload, unit.cap_ghz) for unit in items]
         results["static"] = run_capped_sequence(plat, capped, noisy=False)
         results["reactive"] = run_governed_sequence(

@@ -222,6 +222,34 @@ class TestRunMultitenant:
         assert result.truncated
         assert result.warnings[0].startswith("max_intervals=3")
 
+    def test_oracle_uses_the_runs_llc_displacement(self, platform):
+        """The greedy oracle minimizes the socket score under the run's
+        own contention, not under the default displacement."""
+        def llc_heavy(name):
+            return KernelWorkload(
+                name, 4_000_000, (4_000_000, 2_000_000, 1_000_000),
+                20_000 * 64, 0, 20_000, parallel=True, threads=8,
+            )
+
+        tenants = [tenant("a", llc_heavy("a")), tenant("b", llc_heavy("b"))]
+        for displacement in (0.0, 1.0):
+            config = TenancyConfig(llc_displacement=displacement)
+            line = platform.hierarchy.line_bytes
+            contended = [
+                contended_workload(llc_heavy(n), 0.5, line, displacement)
+                for n in ("a", "b")
+            ]
+            expected = min(
+                platform.uncore.frequencies(),
+                key=lambda f: socket_step(platform, contended, f).score,
+            )
+            result = run_multitenant(
+                platform, tenants, OracleSocketPolicy(platform), config
+            )
+            assert [run.f_uncore_ghz for run in result.runs] == [
+                expected, expected,
+            ]
+
     def test_tenant_count_validated(self, platform):
         with pytest.raises(ValueError):
             run_multitenant(platform, [], IsolationMaxPolicy(platform))
